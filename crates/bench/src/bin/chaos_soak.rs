@@ -144,7 +144,7 @@ fn run_phase(
     let listener = std::net::TcpListener::bind("127.0.0.1:0")
         .map_err(|e| format!("{phase}: bind: {e}"))?;
     let addr = listener.local_addr().map_err(|e| format!("{phase}: local_addr: {e}"))?.to_string();
-    let mut sc = ServerConfig::new("small", *cfg, Backend::default(), threads);
+    let mut sc = ServerConfig::new("small", *cfg, Backend, threads);
     sc.cache = Some(ResultCache::open(dir).map_err(|e| format!("{phase}: cache: {e}"))?);
     sc.chaos = chaos;
     sc.io_timeout = Some(Duration::from_secs(10));
@@ -156,7 +156,7 @@ fn run_phase(
         "small",
         &w.fingerprint(),
         &cfg.canonical(),
-        Backend::default(),
+        Backend,
         cells,
         policy,
         |o| outcomes.push(o),

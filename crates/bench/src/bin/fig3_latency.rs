@@ -2,10 +2,10 @@
 //! function of added memory latency, for the scalar implementation and the
 //! vector implementation at MAXVL ∈ {8,16,32,64,128,256}.
 //!
-//! Usage: `fig3_latency [--small] [--threads N] [--csv PATH] [--backend scalar|simd]
+//! Usage: `fig3_latency [--small] [--threads N] [--csv PATH]
 //! [--cache | --cache-dir DIR] [--server ADDR]
 //! [--metrics-json PATH] [--trace PATH [--trace-kernel K]]
-//! [--checkpoint PATH [--resume]] [--watchdog] [--cycle-budget N]
+//! [--watchdog] [--cycle-budget N]
 //! [--fault KIND [--fault-seed N]]`
 //!
 //! `--metrics-json` exports the per-cell stall breakdown; `--trace` writes a
@@ -17,12 +17,11 @@
 //! figure's CSV byte-identically without simulating anything. `--server`
 //! ships the grid to a running `sweepd` instead of simulating locally.
 //!
-//! With `--checkpoint`, every completed cell is persisted (atomic
-//! tmp+rename) as it lands; `--resume` preloads those cells so a killed
-//! sweep continues where it stopped and produces a bit-identical CSV.
-//! Failing cells (watchdog deadlocks, invariant violations, injected
-//! faults) are reported per cell, render as `FAILED`, and turn the exit
-//! code into 4 — the rest of the grid still completes.
+//! The cache stores every completed cell as it lands, so rerunning a killed
+//! sweep with `--cache` simulates only the missing cells and produces a
+//! bit-identical CSV. Failing cells (watchdog deadlocks, invariant
+//! violations, injected faults) are reported per cell, render as `FAILED`,
+//! and turn the exit code into 4 — the rest of the grid still completes.
 
 use sdv_bench::cli;
 use sdv_bench::{Cell, CellOutcome, ImplKind, KernelKind, Sweeper, Workloads};
@@ -41,8 +40,6 @@ fn main() {
     };
     let csv = cli::arg_value(&args, "--csv").map(str::to_string);
     let cfg = cli::hardening_config(&args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    let backend = cli::parse_backend(&args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    let checkpoint = cli::open_checkpoint(BIN, &args);
 
     let w = if small { Workloads::small() } else { Workloads::paper() };
     let latencies: &[u64] = &[0, 16, 32, 64, 128, 256, 512, 1024];
@@ -51,16 +48,7 @@ fn main() {
     // One runner for the whole figure: machines are reset and reused across
     // kernels instead of reallocated, and repeated cells are memoized.
     let mut sweeper = Sweeper::with_config(cfg);
-    sweeper.set_backend(backend);
     cli::configure_sweeper(BIN, &args, &mut sweeper, if small { "small" } else { "paper" });
-    if let Some(ck) = &checkpoint {
-        for (cell, cycles) in ck.entries() {
-            sweeper.preload(cell, cycles);
-        }
-        if !ck.is_empty() {
-            eprintln!("{BIN}: resuming — {} cells preloaded from checkpoint", ck.len());
-        }
-    }
     // Submit the whole figure as ONE grid up front: the long-pole-first
     // schedule then orders cells across all four kernels (not within each
     // kernel's barrier), so workers never idle at a per-kernel boundary.
@@ -78,10 +66,7 @@ fn main() {
             })
         })
         .collect();
-    let outcomes = match &checkpoint {
-        Some(ck) => sweeper.sweep_outcomes_with(&w, &all_cells, threads, |o| ck.record(o)),
-        None => sweeper.sweep_outcomes(&w, &all_cells, threads),
-    };
+    let outcomes = sweeper.sweep_outcomes(&w, &all_cells, threads);
     let mut csv_out = String::from("kernel,impl,extra_latency,cycles\n");
     for kernel in KernelKind::all() {
         let cells: Vec<Cell> = impls

@@ -8,10 +8,10 @@
 //!
 //! Also prints the paper's §4.1 anchor comparison (SpMV at +32 and +1024).
 //!
-//! Usage: `fig4_slowdown [--small] [--threads N] [--csv PATH] [--backend scalar|simd]
+//! Usage: `fig4_slowdown [--small] [--threads N] [--csv PATH]
 //! [--cache | --cache-dir DIR] [--server ADDR]
 //! [--metrics-json PATH] [--trace PATH [--trace-kernel K]]
-//! [--checkpoint PATH [--resume]] [--watchdog] [--cycle-budget N]
+//! [--watchdog] [--cycle-budget N]
 //! [--fault KIND [--fault-seed N]]`
 //!
 //! Failed cells render as `FAILED` (a failed 0-latency baseline fails its
@@ -35,8 +35,6 @@ fn main() {
     };
     let csv = cli::arg_value(&args, "--csv").map(str::to_string);
     let cfg = cli::hardening_config(&args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    let backend = cli::parse_backend(&args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    let checkpoint = cli::open_checkpoint(BIN, &args);
 
     let w = if small { Workloads::small() } else { Workloads::paper() };
     let latencies: &[u64] = &[0, 16, 32, 64, 128, 256, 512, 1024];
@@ -46,16 +44,7 @@ fn main() {
     // kernels (fig4's grid is identical to fig3's, so a combined driver could
     // share a Sweeper across both and pay for each cell once).
     let mut sweeper = Sweeper::with_config(cfg);
-    sweeper.set_backend(backend);
     cli::configure_sweeper(BIN, &args, &mut sweeper, if small { "small" } else { "paper" });
-    if let Some(ck) = &checkpoint {
-        for (cell, cycles) in ck.entries() {
-            sweeper.preload(cell, cycles);
-        }
-        if !ck.is_empty() {
-            eprintln!("{BIN}: resuming — {} cells preloaded from checkpoint", ck.len());
-        }
-    }
     // Submit the whole figure as ONE grid up front: the long-pole-first
     // schedule then orders cells across all four kernels (not within each
     // kernel's barrier), so workers never idle at a per-kernel boundary.
@@ -73,10 +62,7 @@ fn main() {
             })
         })
         .collect();
-    let outcomes = match &checkpoint {
-        Some(ck) => sweeper.sweep_outcomes_with(&w, &all_cells, threads, |o| ck.record(o)),
-        None => sweeper.sweep_outcomes(&w, &all_cells, threads),
-    };
+    let outcomes = sweeper.sweep_outcomes(&w, &all_cells, threads);
     let mut csv_out = String::from("kernel,impl,extra_latency,slowdown\n");
     let mut anchors: Vec<String> = Vec::new();
     for kernel in KernelKind::all() {

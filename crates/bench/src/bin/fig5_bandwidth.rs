@@ -4,10 +4,10 @@
 //! keeps dropping at high caps is an implementation that can exploit more
 //! bandwidth from a single core.
 //!
-//! Usage: `fig5_bandwidth [--small] [--threads N] [--csv PATH] [--backend scalar|simd]
+//! Usage: `fig5_bandwidth [--small] [--threads N] [--csv PATH]
 //! [--cache | --cache-dir DIR] [--server ADDR]
 //! [--metrics-json PATH] [--trace PATH [--trace-kernel K]]
-//! [--checkpoint PATH [--resume]] [--watchdog] [--cycle-budget N]
+//! [--watchdog] [--cycle-budget N]
 //! [--fault KIND [--fault-seed N]]`
 //!
 //! Failed cells render as `FAILED` (a failed 1 B/cycle baseline fails its
@@ -31,8 +31,6 @@ fn main() {
     };
     let csv = cli::arg_value(&args, "--csv").map(str::to_string);
     let cfg = cli::hardening_config(&args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    let backend = cli::parse_backend(&args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    let checkpoint = cli::open_checkpoint(BIN, &args);
 
     let w = if small { Workloads::small() } else { Workloads::paper() };
     let bandwidths: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
@@ -41,16 +39,7 @@ fn main() {
     // One runner for the whole figure: machines reset and reused across
     // kernels, repeated cells memoized.
     let mut sweeper = Sweeper::with_config(cfg);
-    sweeper.set_backend(backend);
     cli::configure_sweeper(BIN, &args, &mut sweeper, if small { "small" } else { "paper" });
-    if let Some(ck) = &checkpoint {
-        for (cell, cycles) in ck.entries() {
-            sweeper.preload(cell, cycles);
-        }
-        if !ck.is_empty() {
-            eprintln!("{BIN}: resuming — {} cells preloaded from checkpoint", ck.len());
-        }
-    }
     // Submit the whole figure as ONE grid up front: the long-pole-first
     // schedule then orders cells across all four kernels (not within each
     // kernel's barrier), so workers never idle at a per-kernel boundary.
@@ -68,10 +57,7 @@ fn main() {
             })
         })
         .collect();
-    let outcomes = match &checkpoint {
-        Some(ck) => sweeper.sweep_outcomes_with(&w, &all_cells, threads, |o| ck.record(o)),
-        None => sweeper.sweep_outcomes(&w, &all_cells, threads),
-    };
+    let outcomes = sweeper.sweep_outcomes(&w, &all_cells, threads);
     let mut csv_out = String::from("kernel,impl,bandwidth_bytes_per_cycle,normalized_time\n");
     for kernel in KernelKind::all() {
         let cells: Vec<Cell> = impls

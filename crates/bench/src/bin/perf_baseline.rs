@@ -9,13 +9,11 @@
 //!
 //! Usage: `perf_baseline [--smoke] [--threads N] [--label NAME] [--out PATH]
 //!                       [--against LABEL] [--threshold X]
-//!                       [--suite-threshold X] [--backend B] [--breakdown]
+//!                       [--suite-threshold X] [--breakdown]
 //!                       [--repeat N]`
 //!
 //! * `--smoke`  — tiny subset (one cell per kernel, reduced micro iters);
 //!   used by `scripts/check.sh` as a fast end-to-end sanity pass.
-//! * `--backend`— vector execution backend (`scalar` or `simd`). Simulated
-//!   cycles are identical either way; only host wall-clock changes.
 //! * `--threads`— worker threads for the pooled-sweep pass. Defaults to the
 //!   host's available parallelism.
 //! * `--label`  — name recorded in the JSON and used for the default output
@@ -46,8 +44,8 @@ use sdv_engine::BoundedQueue;
 use sdv_memsys::{AccessKind, Cache, CacheConfig, DramChannel};
 use sdv_noc::Mesh;
 use sdv_rvv::{
-    exec_into, exec_into_backend, ArithKind, Backend, ExecInfo, ExecScratch, FmaKind, Lmul,
-    MemAddr, Sew, VInst, VOp, VState,
+    exec_into, ArithKind, Backend, ExecInfo, ExecScratch, FmaKind, Lmul, MemAddr, Sew, VInst, VOp,
+    VState,
 };
 use std::time::Instant;
 
@@ -111,8 +109,6 @@ fn main() {
     };
     let out = cli::arg_value(&args, "--out")
         .map_or_else(|| format!("results/perf/{label}.json"), str::to_string);
-    let backend = cli::parse_backend(&args).unwrap_or_else(|e| cli::die_usage(BIN, &e));
-    println!("backend: {}", backend.describe());
 
     let w = Workloads::small();
     let cells = suite(smoke);
@@ -130,7 +126,6 @@ fn main() {
     for pass in 0..repeat {
         // Fresh pool per pass: the memo would otherwise shortcut repeats.
         let mut pool = Sweeper::new();
-        pool.set_backend(backend);
         for (i, &cell) in cells.iter().enumerate() {
             let t = Instant::now();
             let r = pool.run_cell(&w, cell);
@@ -151,7 +146,6 @@ fn main() {
     // empty memo forces every cell to be simulated again.
     let t_sweep = Instant::now();
     let mut sweep_pool = Sweeper::new();
-    sweep_pool.set_backend(backend);
     let swept = sweep_pool.sweep(&w, &cells, threads);
     let sweep_ms = t_sweep.elapsed().as_secs_f64() * 1e3;
     for (seq, sw) in reports.iter().zip(&swept) {
@@ -175,11 +169,10 @@ fn main() {
     print_human(&reports, &micro, sequential_ms, sweep_ms, cps);
 
     if breakdown {
-        print_breakdown(&w, &reports, backend);
+        print_breakdown(&w, &reports);
     }
 
-    let json =
-        render_json(&label, smoke, threads, backend, &reports, &micro, sequential_ms, sweep_ms);
+    let json = render_json(&label, smoke, threads, &reports, &micro, sequential_ms, sweep_ms);
     if let Some(dir) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
@@ -203,19 +196,19 @@ fn main() {
 /// same program — its wall clock is the functional share (RVV exec + kernel
 /// driver + simulated memory), and `timed - functional` is the timing model
 /// (scalar core, VPU, NoC, L2HN, DRAM bookkeeping).
-fn print_breakdown(w: &Workloads, reports: &[CellReport], backend: Backend) {
+fn print_breakdown(w: &Workloads, reports: &[CellReport]) {
     use sdv_uarch::TimingConfig;
     let mut m = sdv_core::SdvMachine::new(w.heap);
     // Warm the machine (heap pages, allocator high-water) so the measured
     // pass sees the same steady state the pooled timed runs saw.
     for r in reports {
-        sdv_bench::run_functional_only(&mut m, w, r.cell, TimingConfig::default(), backend);
+        sdv_bench::run_functional_only(&mut m, w, r.cell, TimingConfig::default(), Backend);
     }
     let mut per: Vec<(KernelKind, f64, f64)> =
         KernelKind::all().iter().map(|&k| (k, 0.0, 0.0)).collect();
     for r in reports {
         let t = Instant::now();
-        sdv_bench::run_functional_only(&mut m, w, r.cell, TimingConfig::default(), backend);
+        sdv_bench::run_functional_only(&mut m, w, r.cell, TimingConfig::default(), Backend);
         let f_ms = t.elapsed().as_secs_f64() * 1e3;
         let e = per.iter_mut().find(|(k, ..)| *k == r.cell.kernel).expect("kernel in all()");
         e.1 += r.wall_ms;
@@ -482,29 +475,6 @@ fn micro_suite(scale: u64) -> Vec<MicroReport> {
     out.push(time_micro("exec_vfmacc_vl256", 40_000 * scale, || {
         exec_into(std::hint::black_box(&vfmacc), &mut st, &mut mem, &mut scratch, &mut info);
     }));
-    // The same two ops through the host-SIMD backend: measures the
-    // dispatch-level win of the chunked/AVX2 kernels over the scalar batch
-    // loops (architectural results and cycles are identical either way).
-    out.push(time_micro("exec_vadd_simd_vl256", 40_000 * scale, || {
-        exec_into_backend(
-            std::hint::black_box(&vadd),
-            &mut st,
-            &mut mem,
-            &mut scratch,
-            &mut info,
-            Backend::Simd,
-        );
-    }));
-    out.push(time_micro("exec_vfmacc_simd_vl256", 40_000 * scale, || {
-        exec_into_backend(
-            std::hint::black_box(&vfmacc),
-            &mut st,
-            &mut mem,
-            &mut scratch,
-            &mut info,
-            Backend::Simd,
-        );
-    }));
     let vle = VInst::new(VOp::Load { vd: 1, addr: MemAddr::Unit { base: 0 } });
     out.push(time_micro("exec_vle_vl256", 40_000 * scale, || {
         exec_into(std::hint::black_box(&vle), &mut st, &mut mem, &mut scratch, &mut info);
@@ -634,12 +604,10 @@ fn host_info() -> (String, usize) {
     (cpu, cores)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     label: &str,
     smoke: bool,
     threads: usize,
-    backend: sdv_rvv::Backend,
     reports: &[CellReport],
     micro: &[MicroReport],
     sequential_ms: f64,
@@ -657,7 +625,6 @@ fn render_json(
     s.push_str(&format!("  \"timestamp_unix\": {unix_secs},\n"));
     s.push_str(&format!("  \"smoke\": {smoke},\n"));
     s.push_str(&format!("  \"threads\": {threads},\n"));
-    s.push_str(&format!("  \"backend\": \"{backend}\",\n"));
     s.push_str(&format!("  \"build\": \"{}\",\n", sdv_engine::build_info()));
     let (cpu, cores) = host_info();
     s.push_str(&format!("  \"host\": {{\"cpu\": \"{cpu}\", \"cores\": {cores}}},\n"));

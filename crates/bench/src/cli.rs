@@ -4,8 +4,8 @@
 //! workspace exit-code convention, so every binary fails the same way:
 //!
 //! * exit [`EXIT_USAGE`] (2) — malformed command line,
-//! * exit [`EXIT_BAD_INPUT`] (3) — an input file (baseline, checkpoint)
-//!   exists but cannot be parsed,
+//! * exit [`EXIT_BAD_INPUT`] (3) — an input (perf baseline file, cache
+//!   directory) exists but cannot be read or parsed,
 //! * exit [`EXIT_SIM_FAULT`] (4) — the simulation itself failed: watchdog
 //!   deadlock, cycle budget, invariant violation, or an isolated panic,
 //! * exit [`EXIT_UNAVAILABLE`] (5) — a service was not available: `sweepd`
@@ -13,9 +13,8 @@
 //!   server draining for shutdown, or its port already bound. Transient by
 //!   nature — rerunning (or retrying harder) can succeed.
 
-use crate::{CacheContext, CellOutcome, Checkpoint, ResultCache, Sweeper, Workloads};
+use crate::{CacheContext, CellOutcome, ResultCache, Sweeper, Workloads};
 use sdv_engine::{FaultKind, FaultPlan, SimError};
-use sdv_rvv::Backend;
 use sdv_uarch::{TimingConfig, WatchdogConfig};
 
 /// Exit code for a malformed command line.
@@ -84,6 +83,27 @@ pub fn die_unavailable(bin: &str, msg: &str) -> ! {
     std::process::exit(EXIT_UNAVAILABLE);
 }
 
+/// Flags that no longer exist, each with what replaces it. Study binaries
+/// ignore flags they do not know, so without this table a removed flag
+/// would silently run something other than what was asked.
+pub const REMOVED_FLAGS: &[(&str, &str)] = &[
+    ("--checkpoint", USE_CACHE),
+    ("--resume", USE_CACHE),
+    ("--backend", "there is one execution backend"),
+];
+
+const USE_CACHE: &str =
+    "use --cache instead: it stores each cell as it lands, so a rerun simulates only the missing ones";
+
+/// A usage error naming the first [`REMOVED_FLAGS`] entry in `args` and its
+/// replacement.
+pub fn reject_removed_flags(args: &[String]) -> Result<(), String> {
+    match REMOVED_FLAGS.iter().find(|(flag, _)| args.iter().any(|a| a == flag)) {
+        Some((flag, instead)) => Err(format!("{flag} was removed: {instead}")),
+        None => Ok(()),
+    }
+}
+
 /// Parse the shared hardening flags into a timing configuration:
 ///
 /// * `--watchdog` — arm the default forward-progress window,
@@ -93,7 +113,9 @@ pub fn die_unavailable(bin: &str, msg: &str) -> ! {
 ///
 /// Injecting a fault implicitly arms the progress window (otherwise a
 /// wedged resource would hang the run instead of failing it cleanly).
+/// Every binary that takes these flags also rejects [`REMOVED_FLAGS`] here.
 pub fn hardening_config(args: &[String]) -> Result<TimingConfig, String> {
+    reject_removed_flags(args)?;
     let mut cfg = TimingConfig::default();
     if args.iter().any(|a| a == "--watchdog") {
         cfg.watchdog = WatchdogConfig::default_on();
@@ -154,24 +176,6 @@ pub fn apply_topology(args: &[String], cfg: &mut TimingConfig) -> Result<(), Str
 pub fn mesh_for_tiles(tiles: usize) -> sdv_noc::MeshConfig {
     let side = [2usize, 4, 8].into_iter().find(|s| s * s >= tiles).unwrap_or(8);
     sdv_noc::MeshConfig::grid(side, side)
-}
-
-/// Parse the shared `--backend scalar|simd` flag. Defaults to `scalar`
-/// (the reference interpreter) when absent. Backend selection only changes
-/// host wall-clock: simulated cycles and every figure/CSV byte are
-/// identical either way (enforced by `scripts/check.sh`).
-pub fn parse_backend(args: &[String]) -> Result<Backend, String> {
-    match arg_value(args, "--backend") {
-        None => {
-            if args.iter().any(|a| a == "--backend") {
-                Err("--backend needs a value ('scalar' or 'simd')".into())
-            } else {
-                Ok(Backend::default())
-            }
-        }
-        Some(v) => Backend::parse(v)
-            .ok_or_else(|| format!("--backend: bad value '{v}' (expected 'scalar' or 'simd')")),
-    }
 }
 
 /// Default root of the persistent result cache.
@@ -276,36 +280,15 @@ pub fn open_cache_context_tagged(
 /// for binaries where cached or remote results would be *wrong*:
 /// `perf_baseline` measures this process's wall-clock, `chaos_smoke`
 /// exercises fault injection (failures are never cached by design).
+/// Also rejects [`REMOVED_FLAGS`].
 pub fn reject_sweep_acceleration(bin: &str, args: &[String], why: &str) {
+    if let Err(e) = reject_removed_flags(args) {
+        die_usage(bin, &e);
+    }
     for flag in ["--cache", "--cache-dir", "--server"] {
         if args.iter().any(|a| a == flag) {
             die_usage(bin, &format!("{flag} is not supported: {why}"));
         }
-    }
-}
-
-/// Open `--checkpoint PATH` if given. Without `--resume` an existing file is
-/// discarded (the sweep starts over); with it, previously recorded cells are
-/// available via [`Checkpoint::entries`] for preloading into a
-/// [`Sweeper`](crate::Sweeper). `--resume` without `--checkpoint` is a usage
-/// error; an unparseable checkpoint exits with [`EXIT_BAD_INPUT`].
-pub fn open_checkpoint(bin: &str, args: &[String]) -> Option<Checkpoint> {
-    let resume = args.iter().any(|a| a == "--resume");
-    let path = match arg_value(args, "--checkpoint") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => {
-            if resume {
-                die_usage(bin, "--resume requires --checkpoint PATH");
-            }
-            return None;
-        }
-    };
-    if !resume {
-        let _ = std::fs::remove_file(&path);
-    }
-    match Checkpoint::open(&path) {
-        Ok(ck) => Some(ck),
-        Err(e) => die_bad_input(bin, &e.to_string()),
     }
 }
 
@@ -403,14 +386,17 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_parses() {
-        assert_eq!(parse_backend(&args(&["fig3"])).unwrap(), Backend::Scalar);
-        assert_eq!(
-            parse_backend(&args(&["fig3", "--backend", "simd"])).unwrap(),
-            Backend::Simd
-        );
-        assert!(parse_backend(&args(&["fig3", "--backend", "avx"])).is_err());
-        assert!(parse_backend(&args(&["fig3", "--backend"])).is_err());
+    fn removed_flags_fail_with_their_replacement() {
+        assert_eq!(reject_removed_flags(&args(&["fig3", "--small", "--cache"])), Ok(()));
+        for (flag, instead) in REMOVED_FLAGS {
+            let e = reject_removed_flags(&args(&["fig3", "--small", flag])).unwrap_err();
+            assert!(e.contains(flag) && e.contains(instead), "{e}");
+            assert_eq!(hardening_config(&args(&["fig3", flag])).unwrap_err(), e);
+        }
+        let resume = reject_removed_flags(&args(&["fig3", "--resume"])).unwrap_err();
+        assert!(resume.contains("--cache"), "{resume}");
+        let backend = reject_removed_flags(&args(&["fig3", "--backend", "simd"])).unwrap_err();
+        assert!(backend.contains("one execution backend"), "{backend}");
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 pub mod cache;
 pub mod chaos;
-pub mod checkpoint;
 pub mod cli;
 pub mod harness;
 pub mod json;
@@ -28,7 +27,6 @@ pub use cache::{
     cached_cycles, CacheContext, CacheKey, CachedResult, FsckSummary, GcSummary, ResultCache,
 };
 pub use chaos::{ChaosKind, ChaosPlan, ServerChaos};
-pub use checkpoint::Checkpoint;
 pub use harness::{
     run, run_functional_only, run_spmv_variant, run_with_config, run_with_config_cached, sweep,
     try_run_traced, try_run_with_config, Cell, CellOutcome, ImplKind, KernelKind, RemoteSweep,

@@ -39,7 +39,8 @@ pub struct StallBreakdown {
 
 impl StallBreakdown {
     /// Extract from a run's statistics. `None` when the registry is empty —
-    /// preloaded checkpoint cells persist only cycles, not stats.
+    /// custom results served from the cache (`cached_cycles`) store only
+    /// cycles, not stats.
     pub fn from_stats(cycles: u64, s: &Stats) -> Option<Self> {
         s.iter().next()?;
         Some(Self {
@@ -255,14 +256,14 @@ mod tests {
             cycles: 12345,
             stats: stats(&[("vpu.mem_wait_cycles", 6000)]),
         });
-        let preloaded =
+        let cycles_only =
             CellOutcome::Done(RunResult { cell: cell(), cycles: 999, stats: Stats::new() });
-        let doc = metrics_json("fig_test", &[done, preloaded]);
+        let doc = metrics_json("fig_test", &[done, cycles_only]);
         assert!(doc.starts_with("{\"schema\":\"sdv-metrics-v1\""), "{doc}");
         assert!(doc.contains("\"kernel\":\"SPMV\""), "{doc}");
         assert!(doc.contains("\"impl\":\"vl=256\""), "{doc}");
         assert!(doc.contains("\"cycles\":12345"), "{doc}");
-        assert!(doc.contains("\"stalls\":null"), "preloaded cells export null stalls: {doc}");
+        assert!(doc.contains("\"stalls\":null"), "cycles-only cells export null stalls: {doc}");
         assert!(doc.contains("memory_stall_fraction"), "{doc}");
     }
 

@@ -24,9 +24,9 @@
 //!   they land, followed by a `done` summary line.
 //! * **honesty** — a sweep request carries the client's workload name,
 //!   workload content fingerprint, and canonical config text; the server
-//!   verifies all three (and the backend) against its own and rejects
-//!   mismatches outright. A `sweepd` answer is either bit-identical to a
-//!   local simulation or an explicit error — never a silently-wrong number.
+//!   verifies all three against its own and rejects mismatches outright. A
+//!   `sweepd` answer is either bit-identical to a local simulation or an
+//!   explicit error — never a silently-wrong number.
 //!
 //! # Resilience
 //!
@@ -61,7 +61,7 @@
 //! [`ResultCache`](crate::ResultCache) when one is attached, so results
 //! survive server restarts.
 
-use crate::cache::{backend_name, CacheKey, ResultCache};
+use crate::cache::{CacheKey, ResultCache};
 use crate::chaos::{ChaosPlan, ServerChaos, DELAY_RESPONSE};
 use crate::harness::{predicted_cost, run_guarded, Cell, CellOutcome, RunResult, Workloads};
 use crate::json::Json;
@@ -120,8 +120,6 @@ pub struct ServerConfig {
     pub workload: String,
     /// Timing configuration every cell runs under.
     pub cfg: TimingConfig,
-    /// Execution backend.
-    pub backend: Backend,
     /// Worker threads (pooled machines).
     pub threads: usize,
     /// Optional persistent cache behind the in-memory memo.
@@ -144,12 +142,12 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A production-default configuration: bounded queue, 30 s socket
-    /// timeouts, no wall deadline, no chaos.
-    pub fn new(workload: &str, cfg: TimingConfig, backend: Backend, threads: usize) -> Self {
+    /// timeouts, no wall deadline, no chaos. The [`Backend`] argument is
+    /// ignored.
+    pub fn new(workload: &str, cfg: TimingConfig, _: Backend, threads: usize) -> Self {
         Self {
             workload: workload.to_string(),
             cfg,
-            backend,
             threads,
             cache: None,
             max_queue: DEFAULT_MAX_QUEUE,
@@ -167,7 +165,6 @@ struct Shared {
     input_fp: String,
     cfg: TimingConfig,
     cfg_text: String,
-    backend: Backend,
     cache: Option<ResultCache>,
     max_queue: usize,
     cell_wall: Option<Duration>,
@@ -258,7 +255,6 @@ pub fn serve(listener: TcpListener, sc: ServerConfig) -> std::io::Result<()> {
         workload: sc.workload,
         cfg_text: sc.cfg.canonical(),
         cfg: sc.cfg,
-        backend: sc.backend,
         cache: sc.cache,
         max_queue: sc.max_queue,
         cell_wall: sc.cell_wall,
@@ -402,7 +398,7 @@ fn worker(shared: &Shared, id: usize) {
         let key = shared
             .cache
             .as_ref()
-            .map(|c| (c, CacheKey::for_cell(cell, &shared.input_fp, &shared.cfg_text, shared.backend)));
+            .map(|c| (c, CacheKey::for_cell(cell, &shared.input_fp, &shared.cfg_text, Backend)));
         let cached = key.as_ref().and_then(|(cache, key)| cache.load(key));
         let from_cache = cached.is_some();
         let out = match cached {
@@ -410,14 +406,7 @@ fn worker(shared: &Shared, id: usize) {
                 CellOutcome::Done(RunResult { cell, cycles: hit.cycles, stats: hit.stats })
             }
             None => {
-                let out = run_guarded(
-                    &mut slot,
-                    &shared.w,
-                    cell,
-                    shared.cfg,
-                    shared.backend,
-                    shared.cell_wall,
-                );
+                let out = run_guarded(&mut slot, &shared.w, cell, shared.cfg, shared.cell_wall);
                 if let (Some((cache, key)), CellOutcome::Done(r)) = (&key, &out) {
                     cache.store(key, r.cycles, &r.stats);
                     if ServerChaos::hit(&shared.chaos.corrupt_cache_entry) {
@@ -501,7 +490,6 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> 
                     ("build", Json::str(sdv_engine::build_info())),
                     ("workload", Json::str(shared.workload.as_str())),
                     ("workload_fp", Json::str(shared.input_fp.as_str())),
-                    ("backend", Json::str(backend_name(shared.backend))),
                 ]),
             )?,
             Some("stats") => {
@@ -586,7 +574,6 @@ fn handle_sweep(
         ("workload", shared.workload.as_str()),
         ("workload_fp", shared.input_fp.as_str()),
         ("cfg", shared.cfg_text.as_str()),
-        ("backend", backend_name(shared.backend)),
     ];
     for (field, want) in checks {
         let got = req.get(field).and_then(Json::as_str).unwrap_or("<missing>");
@@ -847,13 +834,14 @@ pub struct SweepSummary {
 /// received — the server's exactly-once dedup makes re-submission free.
 /// Non-transient failures surface as [`SimError::Remote`]; transport
 /// failures that outlive the retry budget as [`SimError::Unavailable`].
+/// The [`Backend`] argument is ignored.
 #[allow(clippy::too_many_arguments)]
 pub fn client_sweep(
     addr: &str,
     workload: &str,
     input_fp: &str,
     cfg_text: &str,
-    backend: Backend,
+    _: Backend,
     cells: &[Cell],
     policy: &RetryPolicy,
     mut on_result: impl FnMut(CellOutcome),
@@ -873,7 +861,7 @@ pub fn client_sweep(
         if missing.is_empty() {
             break;
         }
-        match sweep_attempt(addr, workload, input_fp, cfg_text, backend, &missing, &mut |out| {
+        match sweep_attempt(addr, workload, input_fp, cfg_text, &missing, &mut |out| {
             if got.insert(out.cell()) {
                 on_result(out);
             }
@@ -904,7 +892,6 @@ fn sweep_attempt(
     workload: &str,
     input_fp: &str,
     cfg_text: &str,
-    backend: Backend,
     cells: &[Cell],
     on_result: &mut impl FnMut(CellOutcome),
 ) -> Result<SweepSummary, SimError> {
@@ -916,7 +903,6 @@ fn sweep_attempt(
         ("workload", Json::str(workload)),
         ("workload_fp", Json::str(input_fp)),
         ("cfg", Json::str(cfg_text)),
-        ("backend", Json::str(backend_name(backend))),
         ("cells", Json::Arr(cells.iter().map(|&c| cell_to_json(c)).collect())),
     ]);
     writeln!(writer, "{}", req.to_line()).map_err(unavailable)?;
@@ -1058,7 +1044,7 @@ mod tests {
     fn spawn_raw_server() -> (String, std::thread::JoinHandle<()>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let mut sc = ServerConfig::new("small", TimingConfig::default(), Backend::default(), 1);
+        let mut sc = ServerConfig::new("small", TimingConfig::default(), Backend, 1);
         sc.io_timeout = Some(Duration::from_secs(5));
         let handle = std::thread::spawn(move || serve(listener, sc).unwrap());
         (addr, handle)

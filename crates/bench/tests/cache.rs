@@ -1,8 +1,7 @@
 //! Integration tests for the persistent result cache, driven through the
 //! real sweep entry points — what `--cache` actually exercises.
 
-use sdv_bench::{Cell, ImplKind, KernelKind, ResultCache, Sweeper, Workloads};
-use sdv_rvv::Backend;
+use sdv_bench::{Cell, ImplKind, KernelKind, ResultCache, RunResult, Sweeper, Workloads};
 use sdv_uarch::TimingConfig;
 use std::path::PathBuf;
 
@@ -22,8 +21,20 @@ fn grid() -> Vec<Cell> {
     cells
 }
 
+fn assert_bit_identical(cold: &[RunResult], other: &[RunResult]) {
+    assert_eq!(cold.len(), other.len());
+    for (c, h) in cold.iter().zip(other) {
+        assert_eq!(c.cycles, h.cycles, "cached cycles must be bit-identical");
+        for (name, value) in c.stats.iter() {
+            assert_eq!(h.stats.get(name), value, "stat {name} must survive the round trip");
+        }
+    }
+}
+
 /// A cold sweep fills the cache; a warm sweep on a FRESH `Sweeper` (empty
 /// memo) reproduces every cycle count and stat without simulating anything.
+/// A sweep killed part-way leaves a half-warm cache, and rerunning it
+/// simulates exactly the missing cells — the cache is how sweeps resume.
 #[test]
 fn warm_sweep_is_bit_identical_and_simulates_nothing() {
     let dir = temp_dir("warm");
@@ -39,13 +50,22 @@ fn warm_sweep_is_bit_identical_and_simulates_nothing() {
     warm.set_cache(ResultCache::open(&dir).unwrap());
     let warm_out = warm.sweep(&w, &cells, 2);
     assert_eq!(warm.fresh_simulations(), 0, "warm run must come entirely from the cache");
-    for (c, h) in cold_out.iter().zip(&warm_out) {
-        assert_eq!(c.cycles, h.cycles, "cached cycles must be bit-identical");
-        for (name, value) in c.stats.iter() {
-            assert_eq!(h.stats.get(name), value, "stat {name} must survive the round trip");
-        }
-    }
+    assert_bit_identical(&cold_out, &warm_out);
+
+    // A run killed after the first half of the grid stored those cells as
+    // they landed; the rerun simulates only the other half.
+    let half_dir = temp_dir("half");
+    let half = cells.len() / 2;
+    let mut killed = Sweeper::new();
+    killed.set_cache(ResultCache::open(&half_dir).unwrap());
+    killed.sweep(&w, &cells[..half], 2);
+    let mut rerun = Sweeper::new();
+    rerun.set_cache(ResultCache::open(&half_dir).unwrap());
+    let rerun_out = rerun.sweep(&w, &cells, 2);
+    assert_eq!(rerun.fresh_simulations(), cells.len() - half, "rerun simulates the missing half");
+    assert_bit_identical(&cold_out, &rerun_out);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&half_dir);
 }
 
 /// Concurrent sweepers racing the same key converge: the atomic
@@ -85,8 +105,8 @@ fn concurrent_writers_racing_one_key_leave_a_valid_entry() {
 }
 
 /// Every identity knob isolates its own entries: a sweep under a different
-/// timing config, backend, or workload must not hit entries written by
-/// another. (Key-part sensitivity is unit-tested in `cache.rs`; this checks
+/// timing config or workload must not hit entries written by another.
+/// (Key-part sensitivity is unit-tested in `cache.rs`; this checks
 /// the Sweeper actually routes those parts into the key.)
 #[test]
 fn sweeper_cache_keys_separate_config_and_input() {
@@ -111,14 +131,6 @@ fn sweeper_cache_keys_separate_config_and_input() {
     other_cfg.set_cache(ResultCache::open(&dir).unwrap());
     other_cfg.sweep(&w, &[cell], 1);
     assert_eq!(other_cfg.fresh_simulations(), 1, "lane-count change must miss");
-
-    // Different backend -> different key (bit-identical results, but the
-    // key is conservative), so another fresh simulation.
-    let mut simd = Sweeper::new();
-    simd.set_backend(Backend::Simd);
-    simd.set_cache(ResultCache::open(&dir).unwrap());
-    simd.sweep(&w, &[cell], 1);
-    assert_eq!(simd.fresh_simulations(), 1, "backend change must miss");
 
     // Same identity as the first run -> pure hit.
     let mut again = Sweeper::new();

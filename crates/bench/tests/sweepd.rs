@@ -24,7 +24,7 @@ fn spawn_server_with(
 ) -> (String, std::thread::JoinHandle<()>) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let mut sc = ServerConfig::new("small", TimingConfig::default(), Backend::default(), threads);
+    let mut sc = ServerConfig::new("small", TimingConfig::default(), Backend, threads);
     tweak(&mut sc);
     let handle = std::thread::spawn(move || serve(listener, sc).unwrap());
     (addr, handle)
@@ -45,7 +45,7 @@ fn sweep_from(
         "small",
         &w.fingerprint(),
         &TimingConfig::default().canonical(),
-        Backend::default(),
+        Backend,
         cells,
         &RetryPolicy::none(),
         |o| outcomes.push(o),
@@ -125,7 +125,7 @@ fn mismatched_identity_is_rejected() {
         "small",
         &w.fingerprint(),
         &cfg.canonical(),
-        Backend::default(),
+        Backend,
         &[Cell {
             kernel: KernelKind::Spmv,
             imp: ImplKind::Scalar,
@@ -155,7 +155,7 @@ fn try_sweep_from(
         "small",
         &w.fingerprint(),
         &TimingConfig::default().canonical(),
-        Backend::default(),
+        Backend,
         cells,
         policy,
         |o| outcomes.push(o),

@@ -7,7 +7,7 @@
 use crate::memory::SimMemory;
 use crate::vm::Vm;
 use sdv_engine::Stats;
-use sdv_rvv::{exec_into_backend, Backend, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState};
+use sdv_rvv::{exec_into, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState};
 
 /// A machine with architectural state only.
 pub struct FunctionalMachine {
@@ -17,7 +17,6 @@ pub struct FunctionalMachine {
     stats: Stats,
     scratch: ExecScratch,
     info: ExecInfo,
-    backend: Backend,
 }
 
 impl FunctionalMachine {
@@ -31,7 +30,6 @@ impl FunctionalMachine {
             stats: Stats::new(),
             scratch: ExecScratch::default(),
             info: ExecInfo::default(),
-            backend: Backend::default(),
         }
     }
 
@@ -44,14 +42,7 @@ impl FunctionalMachine {
             stats: Stats::new(),
             scratch: ExecScratch::default(),
             info: ExecInfo::default(),
-            backend: Backend::default(),
         }
-    }
-
-    /// Select the vector execution backend (scalar reference or host-SIMD;
-    /// bit-identical results either way).
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
     }
 
     /// Architectural vector state (tests poke registers directly).
@@ -157,14 +148,7 @@ impl Vm for FunctionalMachine {
     fn exec_v(&mut self, inst: VInst) -> Option<u64> {
         self.ops += 1;
         self.stats.inc("func.vector_instrs");
-        exec_into_backend(
-            &inst,
-            &mut self.state,
-            &mut self.mem,
-            &mut self.scratch,
-            &mut self.info,
-            self.backend,
-        );
+        exec_into(&inst, &mut self.state, &mut self.mem, &mut self.scratch, &mut self.info);
         self.stats.add("func.vector_elems", self.info.active as u64);
         self.info.scalar
     }

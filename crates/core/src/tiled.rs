@@ -32,7 +32,7 @@
 use crate::memory::SimMemory;
 use crate::vm::Vm;
 use sdv_engine::{Cycle, EventQueue, SimError, Stats};
-use sdv_rvv::{exec_into_backend, Backend, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState};
+use sdv_rvv::{exec_into, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState};
 use sdv_uarch::op::classify_into;
 use sdv_uarch::{Op, SdvTiming, TimingConfig, VClass, VectorOp};
 
@@ -54,7 +54,6 @@ pub struct TiledMachine {
     scratch: ExecScratch,
     info: ExecInfo,
     lines_pool: Vec<u64>,
-    backend: Backend,
 }
 
 impl TiledMachine {
@@ -73,7 +72,6 @@ impl TiledMachine {
             scratch: ExecScratch::default(),
             info: ExecInfo::default(),
             lines_pool: Vec::new(),
-            backend: Backend::default(),
         }
     }
 
@@ -85,11 +83,6 @@ impl TiledMachine {
     /// The timing configuration in effect.
     pub fn config(&self) -> &TimingConfig {
         &self.cfg
-    }
-
-    /// Select the vector execution backend for every tile.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
     }
 
     /// Override the order tile programs are captured in. Must be a
@@ -305,14 +298,7 @@ impl Vm for TileVm<'_> {
 
     fn exec_v(&mut self, inst: VInst) -> Option<u64> {
         let m = &mut *self.m;
-        exec_into_backend(
-            &inst,
-            &mut m.states[self.tile],
-            &mut m.mem,
-            &mut m.scratch,
-            &mut m.info,
-            m.backend,
-        );
+        exec_into(&inst, &mut m.states[self.tile], &mut m.mem, &mut m.scratch, &mut m.info);
         let vop = classify_into(&inst, &m.info, m.line_bytes, &mut m.lines_pool);
         m.traces[self.tile].push(Op::Vector(vop));
         m.info.scalar

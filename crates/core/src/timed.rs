@@ -8,7 +8,7 @@
 use crate::memory::SimMemory;
 use crate::vm::Vm;
 use sdv_engine::{Cycle, Stats};
-use sdv_rvv::{exec_into_backend, Backend, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState};
+use sdv_rvv::{exec_into, ExecInfo, ExecScratch, Lmul, Sew, VInst, VState};
 use sdv_uarch::op::classify_into;
 use sdv_uarch::{Op, SdvTiming, TimingConfig, VClass, VectorOp};
 
@@ -25,7 +25,6 @@ pub struct SdvMachine {
     info: ExecInfo,
     /// Recycled line-address buffer for vector memory classification.
     lines_pool: Vec<u64>,
-    backend: Backend,
 }
 
 impl SdvMachine {
@@ -47,21 +46,9 @@ impl SdvMachine {
             scratch: ExecScratch::default(),
             info: ExecInfo::default(),
             lines_pool: Vec::new(),
-            backend: Backend::default(),
         }
     }
 
-    /// Select the vector execution backend (scalar reference or host-SIMD).
-    /// Architectural results *and* simulated cycles are bit-identical across
-    /// backends; only host wall-clock changes.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    /// The vector execution backend in effect.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
 
     /// The timing configuration in effect.
     pub fn config(&self) -> &TimingConfig {
@@ -294,14 +281,7 @@ impl Vm for SdvMachine {
     }
 
     fn exec_v(&mut self, inst: VInst) -> Option<u64> {
-        exec_into_backend(
-            &inst,
-            &mut self.state,
-            &mut self.mem,
-            &mut self.scratch,
-            &mut self.info,
-            self.backend,
-        );
+        exec_into(&inst, &mut self.state, &mut self.mem, &mut self.scratch, &mut self.info);
         let vop = classify_into(&inst, &self.info, self.line_bytes, &mut self.lines_pool);
         let op = Op::Vector(vop);
         self.timing.issue(&op);

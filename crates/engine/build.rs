@@ -1,7 +1,7 @@
 //! Bakes a code-version fingerprint into the crate at compile time.
 //!
-//! The persistent result cache keys every entry on (config, kernel, knobs,
-//! backend, **code-version**): a simulator change must never serve results
+//! The persistent result cache keys every entry on (config, inputs, kernel,
+//! knobs, **code-version**): a simulator change must never serve results
 //! computed by older code. The fingerprint is the repository's git commit
 //! (plus a `-dirty` marker for uncommitted changes); builds outside a git
 //! checkout fall back to the crate version, which is bumped per release.

@@ -42,7 +42,8 @@ pub enum SimError {
         /// Which invariant failed and how.
         what: String,
     },
-    /// Malformed external input: a flag, a baseline JSON, a checkpoint file.
+    /// Malformed external input: a flag, a baseline JSON, a cache directory,
+    /// or a cell the configured topology cannot run.
     /// Carries the file path / flag name and the parse position.
     BadInput {
         /// What was malformed and where.

@@ -672,12 +672,11 @@ fn cvt_batch(sew: Sew, kind: CvtKind, xs: &[u64], out: &mut Vec<u64>) {
 ///
 /// **The fold order is pinned**: a strictly sequential left fold from the
 /// accumulator seed through element 0, 1, … VL−1, vfredosum-style. This is
-/// the *only* reduction implementation — the host-SIMD backend
-/// ([`crate::simd`]) deliberately does not intercept `VOp::Red`, because any
-/// reassociation (pairwise trees, per-lane partial sums) changes FP results
-/// under cancellation, ±0.0 signs, and NaN propagation. Do not add a
-/// tree-shaped or vectorized variant without preserving this exact order;
-/// `simd::tests::fp_reduction_order_is_pinned_across_backends` guards it.
+/// the *only* reduction implementation, because any reassociation
+/// (pairwise trees, per-lane partial sums) changes FP results under
+/// cancellation, ±0.0 signs, and NaN propagation. Do not add a tree-shaped
+/// or vectorized variant without preserving this exact order;
+/// `tests::fp_reduction_order_is_pinned` guards it.
 fn reduce_batch(sew: Sew, kind: RedKind, seed: u64, xs: &[u64], active: Option<&[bool]>) -> u64 {
     let mask = sew.value_mask();
     let sh = 64 - sew.bits() as u32;
@@ -851,6 +850,14 @@ fn scatter_elems<M: VMemory>(
     }
 }
 
+/// A placeholder that carries no information: every instruction runs
+/// through [`exec_into`], the one execution path. It exists only for the
+/// `perfbench/` call sites that still pass `Backend::default()` to four
+/// `sdv-bench` functions, which ignore it, and goes when the benchmark
+/// drops that argument.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Backend;
+
 /// Execute one instruction with fresh buffers. Convenience wrapper around
 /// [`exec_into`] for tests and one-off callers; hot loops should hold an
 /// [`ExecScratch`] + [`ExecInfo`] and call [`exec_into`] directly.
@@ -863,31 +870,6 @@ pub fn exec<M: VMemory>(inst: &VInst, state: &mut VState, mem: &mut M) -> ExecIn
     let mut info = ExecInfo::default();
     exec_into(inst, state, mem, &mut scratch, &mut info);
     info
-}
-
-/// Execute one instruction under the selected backend. [`Backend::Simd`]
-/// intercepts the hot non-memory op families with host-SIMD batch kernels
-/// (see [`crate::simd`]); everything else — and every instruction under
-/// [`Backend::Scalar`] — runs through the reference interpreter
-/// [`exec_into`]. Results, `info`, and therefore simulated cycles are
-/// bit-identical across backends.
-///
-/// # Panics
-/// As [`exec_into`].
-pub fn exec_into_backend<M: VMemory>(
-    inst: &VInst,
-    state: &mut VState,
-    mem: &mut M,
-    scratch: &mut ExecScratch,
-    info: &mut ExecInfo,
-    backend: crate::simd::Backend,
-) {
-    if backend == crate::simd::Backend::Simd
-        && crate::simd::exec_simd(inst, state, scratch, info)
-    {
-        return;
-    }
-    exec_into(inst, state, mem, scratch, info);
 }
 
 /// Execute one instruction, reusing `scratch` buffers and writing the outcome
@@ -2927,6 +2909,34 @@ mod tests {
         );
         let info = exec(&VInst::new(VOp::Popc { m: 1 }), &mut s, &mut mem);
         assert_eq!(info.scalar, Some(28), "elements 100..127 exceed 99");
+    }
+
+    /// The FP reduction order is *pinned*: a strictly sequential left fold
+    /// from the accumulator seed (vfredosum-style). Inputs chosen so any
+    /// reassociation (pairwise tree, per-lane partial sums) changes the
+    /// answer: catastrophic cancellation, -0.0 sign preservation, and NaN
+    /// propagation.
+    #[test]
+    fn fp_reduction_order_is_pinned() {
+        let fsum = |lanes: &[f64], seed: f64| -> u64 {
+            let mut s = st(lanes.len());
+            for (i, &v) in lanes.iter().enumerate() {
+                s.regs.set(4, Sew::E64, i, v.to_bits());
+            }
+            s.regs.set(8, Sew::E64, 0, seed.to_bits());
+            run(&mut s, VOp::Red { kind: RedKind::Fsum, vd: 20, x: 4, acc: 8 });
+            s.regs.get(20, Sew::E64, 0)
+        };
+        // Catastrophic cancellation: 1e16 + 1.0 rounds 1.0 away, then the
+        // -1e16 cancels to exactly 0.0. Any reordering yields 1.0 instead.
+        let pinned = (((1e16_f64 + 1.0) + -1e16) + 2.0).to_bits();
+        assert_eq!(pinned, 2.0f64.to_bits(), "the inputs must be order-sensitive");
+        assert_eq!(fsum(&[1.0, -1e16, 2.0], 1e16), pinned, "fold order changed");
+        // -0.0: (-0.0) + (-0.0) keeps the sign; a +0.0-identity partial sum
+        // would lose it.
+        assert_eq!(fsum(&[-0.0, -0.0], -0.0), (-0.0f64).to_bits(), "-0.0 sign lost");
+        // NaN propagates through the fold.
+        assert!(f64::from_bits(fsum(&[1.0, f64::NAN, 3.0], 0.0)).is_nan());
     }
 }
 

@@ -27,15 +27,12 @@ pub mod fmt;
 pub mod instr;
 pub mod mem;
 pub mod regfile;
-pub mod simd;
 pub mod state;
 pub mod vtype;
 
 pub use exec::{
-    exec, exec_into, exec_into_backend, ExecInfo, ExecScratch, MemAccess, MemAccessKind, MemList,
-    MemRun,
+    exec, exec_into, Backend, ExecInfo, ExecScratch, MemAccess, MemAccessKind, MemList, MemRun,
 };
-pub use simd::Backend;
 pub use instr::{
     ArithKind, CmpKind, CvtKind, FArithKind, FmaKind, FUnaryKind, MaskKind, MaskSetKind, MemAddr,
     RedKind, Reg, SlideKind, VInst, VOp, WidenKind,

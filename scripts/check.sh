@@ -56,31 +56,16 @@ print(f"metrics JSON valid: {len(cells)} cells")
 PYEOF
 rm -f "$tmp_metrics"
 
-echo "== portable-path build (sdv-rvv without simd-intrinsics) =="
-# The chunked portable loops must keep building (and stay warning-clean)
-# with the AVX2 intrinsics compiled out — this is the path every non-x86
-# host takes.
-cargo build -q -p sdv-rvv --no-default-features
-cargo clippy -q -p sdv-rvv --no-default-features --all-targets -- -D warnings
-
-echo "== SIMD backend cycle-identity (perf smoke under both backends) =="
-# Backend selection must never change simulated cycles: run the smoke suite
-# under --backend simd against the same recorded baseline the scalar smoke
-# used. Any cycle drift fails; the threshold neutralizes wall-clock noise.
-./target/release/perf_baseline --smoke --label check_simd --backend simd \
-    --against after_pr1 --threshold 1000
-
-echo "== golden CSV diff (small fig3, both backends, must be bit-identical) =="
+echo "== golden CSV diff (small fig3, must be bit-identical) =="
 tmp_csv="$(mktemp /tmp/fig3_small.XXXXXX.csv)"
 tmp_csv2="$(mktemp /tmp/fig3_small2.XXXXXX.csv)"
-tmp_csv3="$(mktemp /tmp/fig3_simd.XXXXXX.csv)"
-trap 'rm -f "$tmp_csv" "$tmp_csv2" "$tmp_csv3"' EXIT
-./target/release/fig3_latency --small --backend scalar --csv "$tmp_csv" >/dev/null
+trap 'rm -f "$tmp_csv" "$tmp_csv2"' EXIT
+./target/release/fig3_latency --small --csv "$tmp_csv" >/dev/null
 diff -u results/golden/fig3_small.csv "$tmp_csv"
-echo "golden CSV matches (scalar backend)"
-./target/release/fig3_latency --small --backend simd --csv "$tmp_csv3" >/dev/null
-diff -u results/golden/fig3_small.csv "$tmp_csv3"
-echo "golden CSV matches (simd backend)"
+echo "golden CSV matches"
+
+echo "== removed flags fail loudly (--resume exits 2, pointing to --cache) =="
+rc=0; ./target/release/fig3_latency --small --resume >/dev/null 2>&1 || rc=$?; [ "$rc" -eq 2 ] || { echo "--resume: expected exit 2, got $rc" >&2; exit 1; }
 
 echo "== determinism (two fig3 runs, different thread counts, same CSV) =="
 ./target/release/fig3_latency --small --threads 1 --csv "$tmp_csv2" >/dev/null

@@ -258,12 +258,16 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so the
-                    // bytes are valid; find the char boundary).
-                    let rest = std::str::from_utf8(&self.s[self.i..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the whole run up to the next '"' or '\\' at once.
+                    // Both are ASCII, so the run ends on a char boundary of
+                    // the valid UTF-8 input and `from_utf8` cannot fail.
+                    let run = self.s[self.i..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.s.len() - self.i);
+                    let bytes = &self.s[self.i..self.i + run];
+                    out.push_str(std::str::from_utf8(bytes).map_err(|e| e.to_string())?);
+                    self.i += run;
                 }
             }
         }
@@ -370,6 +374,63 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn multi_byte_characters_round_trip_in_keys_and_values() {
+        // 2-, 3- and 4-byte UTF-8 scalars, alone and in runs.
+        for text in ["é", "€", "𝄞", "aé€𝄞z", "ééé€€€𝄞𝄞𝄞"] {
+            let v = Json::Obj(vec![(text.to_string(), Json::str(text))]);
+            let back = Json::parse(&v.to_line()).unwrap();
+            assert_eq!(back, v, "{text:?}");
+            assert_eq!(back.get(text).and_then(Json::as_str), Some(text));
+        }
+    }
+
+    #[test]
+    fn escapes_next_to_multi_byte_characters_decode() {
+        let v = Json::parse(r#""é\"€\\𝄞\n\té""#).unwrap();
+        assert_eq!(v.as_str(), Some("é\"€\\𝄞\n\té"));
+        // `\u` escapes of 1-, 2- and 3-byte scalars, next to literal ones.
+        let v = Json::parse(r#""\u0041é\u00e9€\u20AC𝄞""#).unwrap();
+        assert_eq!(v.as_str(), Some("Aéé€€𝄞"));
+        let line = Json::str("€\u{1}𝄞\"").to_line();
+        assert_eq!(line, r#""€\u0001𝄞\"""#);
+        assert_eq!(Json::parse(&line).unwrap().as_str(), Some("€\u{1}𝄞\""));
+    }
+
+    #[test]
+    fn unterminated_strings_and_bad_escapes_are_rejected() {
+        for bad in [
+            r#"""#,
+            r#""abc"#,
+            r#""é€𝄞"#,
+            r#""ends in escape\"#,
+            r#""\x""#,
+            r#""é\q""#,
+            r#""\u12""#,
+            r#""\uZZZZ""#,
+            r#""\u€€""#,
+            r#"{"é": "𝄞}"#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn long_strings_and_wide_objects_parse_correctly() {
+        // A 1 MiB value: 256 chunks of 4 KiB, each ending in multi-byte
+        // characters and an escaped quote.
+        let chunk = format!("{}é€𝄞\"", "x".repeat(4096 - 10));
+        let big = chunk.repeat(256);
+        assert_eq!(big.len(), 1 << 20);
+        let line = Json::obj([("v", Json::str(big.as_str()))]).to_line();
+        assert_eq!(Json::parse(&line).unwrap().get("v").and_then(Json::as_str), Some(&big[..]));
+
+        let wide = Json::Obj((0..10_000u64).map(|i| (format!("stat.{i}"), Json::num(i))).collect());
+        let back = Json::parse(&wide.to_line()).unwrap();
+        assert_eq!(back, wide);
+        assert_eq!(back.get("stat.9999").and_then(Json::as_u64), Some(9999));
     }
 
     #[test]

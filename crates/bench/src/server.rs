@@ -21,7 +21,9 @@
 //!   predicted host cost (the same long-pole-first policy the in-process
 //!   [`Sweeper`](crate::Sweeper) uses), bounding grid makespan.
 //! * **streaming** — sweep results are written back in completion order as
-//!   they land, followed by a `done` summary line.
+//!   they land, followed by a `done` summary line. Each result is encoded
+//!   once, when its cell lands; the memo keeps that response line, so a
+//!   repeat request copies stored bytes instead of re-encoding.
 //! * **honesty** — a sweep request carries the client's workload name,
 //!   workload content fingerprint, and canonical config text; the server
 //!   verifies all three against its own and rejects mismatches outright. A
@@ -83,6 +85,10 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7745";
 /// above any figure grid, low enough that a runaway client hits
 /// `overloaded` long before the server hits the allocator.
 pub const DEFAULT_MAX_QUEUE: usize = 4096;
+
+/// Per-connection write buffer: a batch of result lines (up to ~5 KB each
+/// for multi-tile cells) leaves in a few large writes rather than dozens.
+const WRITE_BUFFER: usize = 64 * 1024;
 
 /// Default per-connection socket read/write timeout.
 const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
@@ -193,7 +199,8 @@ struct WorkerHealth {
 struct State {
     queue: Vec<Cell>,
     inflight: HashSet<Cell>,
-    results: HashMap<Cell, CellOutcome>,
+    /// The memo: each landed cell's encoded response line (no newline).
+    results: HashMap<Cell, Arc<str>>,
     workers: Vec<WorkerHealth>,
     /// Cells this server actually simulated (the exactly-once counter).
     simulated: u64,
@@ -421,6 +428,7 @@ fn worker(shared: &Shared, id: usize) {
             }
         };
         let failed = matches!(out, CellOutcome::Failed { .. });
+        let line: Arc<str> = outcome_to_json(&out).to_line().into();
         let mut st = lock_state(shared);
         st.inflight.remove(&cell);
         let health = &mut st.workers[id];
@@ -438,7 +446,7 @@ fn worker(shared: &Shared, id: usize) {
         } else {
             st.simulated += 1;
         }
-        st.results.insert(cell, out);
+        st.results.insert(cell, line);
         drop(st);
         shared.done.notify_all();
     }
@@ -457,7 +465,7 @@ fn corrupt_file(path: &std::path::Path) {
 
 fn handle_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = BufWriter::with_capacity(WRITE_BUFFER, stream);
     let mut line = String::new();
     loop {
         line.clear();
@@ -588,18 +596,20 @@ fn handle_sweep(
     let Some(cell_values) = req.get("cells").and_then(Json::as_arr) else {
         return respond(shared, writer, &error_line("sweep request needs a 'cells' array"));
     };
-    let mut pending: Vec<Cell> = Vec::new();
+    // Unique cells in first-seen order; `pending` holds the same set.
+    let mut order: Vec<Cell> = Vec::new();
+    let mut pending: HashSet<Cell> = HashSet::new();
     for v in cell_values {
         match cell_from_json(v) {
             Ok(c) => {
-                if !pending.contains(&c) {
-                    pending.push(c);
+                if pending.insert(c) {
+                    order.push(c);
                 }
             }
             Err(e) => return respond(shared, writer, &error_line(&format!("bad cell: {e}"))),
         }
     }
-    let total = pending.len();
+    let total = order.len();
     // Admission control and the drain gate share one critical section with
     // the enqueue: a sweep either is fully admitted (and holds the drain
     // open via `active_sweeps`) or was never admitted at all.
@@ -612,9 +622,8 @@ fn handle_sweep(
                 &classed_error("server is draining for shutdown; retry elsewhere", "draining"),
             );
         }
-        let fresh: Vec<Cell> = pending
-            .iter()
-            .copied()
+        let fresh: Vec<Cell> = order
+            .into_iter()
             .filter(|c| {
                 !st.results.contains_key(c) && !st.inflight.contains(c) && !st.queue.contains(c)
             })
@@ -634,15 +643,16 @@ fn handle_sweep(
         shared.work.notify_all();
     }
     let _guard = SweepGuard(shared);
-    // Stream results in completion order.
-    let mut pending: HashSet<Cell> = pending.into_iter().collect();
+    // Stream results in completion order: every line ready at one wake-up
+    // is cloned out (a pointer copy) under the lock, then written outside
+    // it and flushed as one batch.
     while !pending.is_empty() {
-        let ready: Vec<CellOutcome> = {
+        let ready: Vec<(Cell, Arc<str>)> = {
             let mut st = lock_state(shared);
             loop {
-                let ready: Vec<CellOutcome> = pending
+                let ready: Vec<(Cell, Arc<str>)> = pending
                     .iter()
-                    .filter_map(|c| st.results.get(c).cloned())
+                    .filter_map(|c| st.results.get(c).map(|line| (*c, Arc::clone(line))))
                     .collect();
                 if !ready.is_empty() {
                     st.served += ready.len() as u64;
@@ -661,10 +671,11 @@ fn handle_sweep(
                 st = wait_on(&shared.done, st);
             }
         };
-        for out in ready {
-            pending.remove(&out.cell());
-            respond(shared, writer, &outcome_to_json(&out))?;
+        for (cell, line) in ready {
+            pending.remove(&cell);
+            write_line(shared, writer, &line)?;
         }
+        writer.flush()?;
     }
     let (simulated, cache_hits) = {
         let st = lock_state(shared);
@@ -682,13 +693,24 @@ fn handle_sweep(
     )
 }
 
-/// Write one response line (with the chaos delay-response hook).
+/// Write and flush one response line.
 fn respond(shared: &Shared, writer: &mut BufWriter<TcpStream>, msg: &Json) -> std::io::Result<()> {
+    write_line(shared, writer, &msg.to_line())?;
+    writer.flush()
+}
+
+/// Buffer one encoded response line (with the chaos delay-response hook);
+/// the caller flushes.
+fn write_line(
+    shared: &Shared,
+    writer: &mut BufWriter<TcpStream>,
+    line: &str,
+) -> std::io::Result<()> {
     if ServerChaos::hit(&shared.chaos.delay_response) {
         std::thread::sleep(DELAY_RESPONSE);
     }
-    writeln!(writer, "{}", msg.to_line())?;
-    writer.flush()
+    writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")
 }
 
 fn error_line(msg: &str) -> Json {
@@ -847,12 +869,8 @@ pub fn client_sweep(
     mut on_result: impl FnMut(CellOutcome),
 ) -> Result<SweepSummary, SimError> {
     // Unique cells, first-seen order (matches the server's own dedup).
-    let mut want: Vec<Cell> = Vec::new();
-    for &c in cells {
-        if !want.contains(&c) {
-            want.push(c);
-        }
-    }
+    let mut seen: HashSet<Cell> = HashSet::new();
+    let want: Vec<Cell> = cells.iter().copied().filter(|&c| seen.insert(c)).collect();
     let mut got: HashSet<Cell> = HashSet::new();
     let mut summary = SweepSummary::default();
     let mut failures = 0u32;
@@ -1091,6 +1109,47 @@ mod tests {
             "{line}"
         );
 
+        client_request(&addr, "shutdown", &RetryPolicy::none()).unwrap();
+        handle.join().unwrap();
+    }
+
+    /// A memo hit streams the line stored when the cell landed, and that
+    /// line is exactly the encoding of a local simulation of the cell.
+    #[test]
+    fn a_memo_hit_line_is_the_encoding_of_the_local_outcome() {
+        let (addr, handle) = spawn_raw_server();
+        let w = Workloads::small();
+        let cell = Cell {
+            kernel: KernelKind::Spmv,
+            imp: ImplKind::Vector { maxvl: 64 },
+            extra_latency: 0,
+            bandwidth: 64,
+        };
+        let req = Json::obj([
+            ("op", Json::str("sweep")),
+            ("workload", Json::str("small")),
+            ("workload_fp", Json::str(w.fingerprint())),
+            ("cfg", Json::str(TimingConfig::default().canonical())),
+            ("cells", Json::Arr(vec![cell_to_json(cell)])),
+        ]);
+        let raw_sweep = || {
+            let stream = TcpStream::connect(&addr).unwrap();
+            let mut out = BufWriter::new(stream.try_clone().unwrap());
+            writeln!(out, "{}", req.to_line()).unwrap();
+            out.flush().unwrap();
+            let lines: Vec<String> =
+                BufReader::new(stream).lines().take(2).map(Result::unwrap).collect();
+            assert!(lines[1].contains("\"done\":true"), "{lines:?}");
+            lines[0].clone()
+        };
+        let cold = raw_sweep();
+        let hit = raw_sweep();
+        let local = crate::harness::try_run_with_config(&w, cell, TimingConfig::default()).unwrap();
+        let want = outcome_to_json(&CellOutcome::Done(local)).to_line();
+        assert_eq!(cold, want);
+        assert_eq!(hit, want, "a memo hit must stream the stored encoding byte for byte");
+        let stats = client_request(&addr, "stats", &RetryPolicy::none()).unwrap();
+        assert_eq!(stats.get("simulated").and_then(Json::as_u64), Some(1), "second was a hit");
         client_request(&addr, "shutdown", &RetryPolicy::none()).unwrap();
         handle.join().unwrap();
     }

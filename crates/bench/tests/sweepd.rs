@@ -5,8 +5,8 @@ use std::time::Duration;
 
 use sdv_bench::server::{client_request, client_sweep, RetryPolicy, ShutdownSignal, SweepSummary};
 use sdv_bench::{
-    serve, Cell, CellOutcome, ChaosKind, ChaosPlan, ImplKind, KernelKind, ServerConfig, Sweeper,
-    Workloads,
+    serve, try_run_with_config, Cell, CellOutcome, ChaosKind, ChaosPlan, ImplKind, KernelKind,
+    ResultCache, RunResult, ServerConfig, Sweeper, Workloads,
 };
 use sdv_engine::SimError;
 use sdv_rvv::Backend;
@@ -337,4 +337,61 @@ fn a_runaway_cell_trips_the_wall_deadline_as_a_failed_cell() {
     assert_eq!(pong.get("ok").and_then(|v| v.as_bool()), Some(true));
     ask(&addr, "shutdown");
     handle.join().unwrap();
+}
+
+/// Cold, memo-hit and disk-cache sweeps deliver exactly what a local
+/// simulation produces: cycles and every stat key and value. The third
+/// sweep runs on a restarted server over the first server's cache, so it
+/// simulates nothing.
+#[test]
+fn cold_memo_and_disk_cache_sweeps_match_local_simulation() {
+    let dir = std::env::temp_dir().join(format!("sdv_sweepd_wire_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let w = Workloads::small();
+    let cells: Vec<Cell> = [KernelKind::Spmv, KernelKind::Fft]
+        .into_iter()
+        .flat_map(|kernel| {
+            [ImplKind::Scalar, ImplKind::Vector { maxvl: 64 }]
+                .map(|imp| Cell { kernel, imp, extra_latency: 256, bandwidth: 64 })
+        })
+        .collect();
+    let local: Vec<_> = cells
+        .iter()
+        .map(|&c| try_run_with_config(&w, c, TimingConfig::default()).unwrap())
+        .collect();
+    let assert_matches_local = |what: &str, outcomes: &[CellOutcome]| {
+        assert_eq!(outcomes.len(), cells.len(), "{what}: one outcome per cell");
+        for want in &local {
+            let got = match outcomes.iter().find(|o| o.cell() == want.cell) {
+                Some(CellOutcome::Done(r)) => r,
+                other => panic!("{what}: {:?} not done: {other:?}", want.cell),
+            };
+            assert_eq!(got.cycles, want.cycles, "{what}: {:?} cycles", want.cell);
+            let stats = |r: &RunResult| {
+                r.stats.iter().map(|(k, v)| (k.to_string(), v)).collect::<Vec<_>>()
+            };
+            assert_eq!(stats(got), stats(want), "{what}: {:?} stats", want.cell);
+        }
+    };
+    let with_cache = |sc: &mut ServerConfig| {
+        sc.cache = Some(ResultCache::open(&dir).unwrap());
+    };
+
+    let (addr, handle) = spawn_server_with(2, with_cache);
+    let (cold, outcomes) = sweep_from(&addr, &w, &cells);
+    assert_matches_local("cold", &outcomes);
+    assert_eq!((cold.simulated, cold.cache_hits), (4, 0));
+    let (memo, outcomes) = sweep_from(&addr, &w, &cells);
+    assert_matches_local("memo hit", &outcomes);
+    assert_eq!((memo.simulated, memo.cache_hits), (4, 0), "memo hits touch neither counter");
+    ask(&addr, "shutdown");
+    handle.join().unwrap();
+
+    let (addr, handle) = spawn_server_with(2, with_cache);
+    let (disk, outcomes) = sweep_from(&addr, &w, &cells);
+    assert_matches_local("disk cache", &outcomes);
+    assert_eq!((disk.simulated, disk.cache_hits), (0, 4));
+    ask(&addr, "shutdown");
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }

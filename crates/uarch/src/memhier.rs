@@ -399,8 +399,14 @@ impl MemHierarchy {
             if ready > now {
                 self.ctr.l1_merged_miss += 1;
                 if is_write {
-                    // The merged store dirties the line once it arrives.
-                    self.l1[tile].fill(line, true);
+                    // The merged store dirties the line once it arrives. If
+                    // the line was evicted while its fill was in flight,
+                    // this re-installs it; the line it displaces leaves the
+                    // directory exactly as a demand-miss victim does.
+                    if let Some(victim) = self.l1[tile].fill(line, true) {
+                        let vbank = self.amap.bank_of(victim.addr);
+                        self.banks[vbank].dir.evicted(victim.addr, req_l1_of(tile));
+                    }
                 }
                 return ready.max(t_l1);
             }
@@ -1030,6 +1036,24 @@ mod tests {
             times
         };
         assert_eq!(run(false), run(true), "probes must never change timing");
+    }
+
+    #[test]
+    fn store_merging_into_an_evicted_inflight_line_keeps_the_directory_exact() {
+        let mut h = hier();
+        // 16 KiB, 4-way, 64 B lines: lines 4 KiB apart share one L1 set.
+        let set_stride = 4096;
+        h.core_access(0, false, 0);
+        // Four more misses to the same set before line 0's fill returns:
+        // the fourth evicts line 0 while it is still in flight.
+        for k in 1..=4u64 {
+            h.core_access(k * set_stride, false, k);
+        }
+        // A store to line 0 merges with its in-flight fill and re-installs
+        // it, displacing a line the directory tracks.
+        h.core_access(8, true, 5);
+        assert_eq!(h.stats().get("l1.merged_miss"), 1, "the store must take the merge path");
+        h.audit_coherence(5).expect("directory must drop the displaced line");
     }
 
     #[test]

@@ -157,6 +157,15 @@ if ! grep -q "workers" <<<"$status_out"; then
     echo "sweepd status: no worker health in: $status_out" >&2
     exit 1
 fi
+# The wire path against the golden CSV: a cold regeneration through the
+# server, then a repeat in which every cell is a memo hit.
+server_csv="$(mktemp /tmp/sweepd_fig3.XXXXXX.csv)"
+for pass in cold memo; do
+    ./target/release/fig3_latency --small --server "$sweepd_addr" --csv "$server_csv" >/dev/null
+    diff -u results/golden/fig3_small.csv "$server_csv"
+    echo "fig3 through sweepd ($pass) is byte-identical to the golden CSV"
+done
+rm -f "$server_csv"
 ./target/release/sweepd shutdown --addr "$sweepd_addr" >/dev/null
 wait "$sweepd_pid"
 rm -f "$sweepd_log"
